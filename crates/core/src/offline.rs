@@ -113,21 +113,23 @@ impl MsmMechanism {
         self.precompute_jobs(max_nodes, 1)
     }
 
-    /// [`Self::precompute`] with the per-node LP solves of each level
-    /// fanned out over `jobs` scoped worker threads.
+    /// [`Self::precompute`] with the per-node LP solves fanned out over
+    /// `jobs` scoped worker threads.
     ///
     /// The schedule is deterministic and *jobs-independent*: the node set
     /// is the breadth-first prefix of the tree (each level in ascending
     /// cell order) capped at `max_nodes`, and within each level one
     /// canonical **donor** node — the missing node with the lowest cell
-    /// index, never "whichever thread finished first" — is solved first.
-    /// Its exit basis warm-starts every sibling solve on that level: the
-    /// siblings' LPs share the donor's constraint matrix and costs (the
-    /// prior only moves the right-hand side), so the dual simplex
-    /// typically restores feasibility in a fraction of a cold solve's
-    /// pivots. Each sibling's result is a pure function of its LP and the
-    /// donor basis, so the cache contents — and the bytes
-    /// [`Self::export_cache`] writes — are bit-identical at any `jobs`.
+    /// index, never "whichever thread finished first" — warm-starts every
+    /// sibling solve on that level with its exit basis: the siblings' LPs
+    /// share the donor's constraint matrix and costs (the prior only moves
+    /// the right-hand side), so the dual simplex typically restores
+    /// feasibility in a fraction of a cold solve's pivots. The donors of
+    /// all levels are solved concurrently, then the siblings of all levels
+    /// from one work-claiming queue (see [`solve_levels`]). Each sibling's
+    /// result is a pure function of its LP and its donor's basis, so the
+    /// cache contents — and the bytes [`Self::export_cache`] writes — are
+    /// bit-identical at any `jobs`.
     ///
     /// Every fill runs through the same single-flight cache path as
     /// on-demand descents: the certify→repair→admit gate runs exactly
@@ -135,8 +137,8 @@ impl MsmMechanism {
     ///
     /// # Errors
     /// Any [`MechanismError`] raised while building a per-node channel
-    /// (the first in breadth-first order when several workers fail);
-    /// channels built before the failure stay cached.
+    /// (the first in breadth-first order when several fail); channels
+    /// built before or beside the failure stay cached.
     pub fn precompute_jobs(&self, max_nodes: usize, jobs: usize) -> Result<usize, MechanismError> {
         self.precompute_opts(max_nodes, jobs, true)
     }
@@ -155,48 +157,33 @@ impl MsmMechanism {
         jobs: usize,
         warm_start: bool,
     ) -> Result<usize, MechanismError> {
-        let pool = Pool::new(jobs);
-        let mut budget = max_nodes;
-        let mut level_nodes = vec![LevelCell::ROOT];
-        while !level_nodes.is_empty() && budget > 0 {
-            let take: Vec<LevelCell> = level_nodes.iter().copied().take(budget).collect();
-            budget -= take.len();
-            let missing: Vec<LevelCell> = take
-                .iter()
-                .copied()
-                .filter(|c| self.cache_get(*c).is_none())
-                .collect();
-            if let Some(&donor) = missing.first() {
-                // Canonical donor: the lowest-index missing node. Solved
-                // cold (levels differ in ε and scale, so cross-level
-                // bases rarely transfer), capturing its exit basis.
-                //
+        let levels = breadth_first_missing(
+            vec![LevelCell::ROOT],
+            max_nodes,
+            |level| next_internal_level(self, level),
+            |cell| self.cache_get(cell).is_none(),
+        );
+        solve_levels(
+            jobs,
+            &levels,
+            |donor| {
                 // The greedy spanner (seed rows under cut generation, the
                 // whole target set under a spanner constraint set) is an
                 // O(n³) build over child geometry that every node on a
-                // level shares — build it once here, next to the donor
-                // basis, and hand it to every fill on the level.
+                // level shares — build it once, next to the donor basis,
+                // and hand it to every fill on the level. Donors are
+                // solved cold: levels differ in ε and scale, so
+                // cross-level bases rarely transfer.
                 let spanner = self.level_shared_spanner(donor);
-                let mut donor_basis: Option<Basis> = None;
-                let _ = self.cache_fill_warm(donor, None, spanner.as_ref(), &mut donor_basis)?;
-                let siblings: Vec<LevelCell> = missing[1..].to_vec();
-                let seed = if warm_start {
-                    donor_basis.as_ref()
-                } else {
-                    None
-                };
-                let results = pool.map(siblings, |cell| {
-                    self.cache_fill_warm(cell, seed, spanner.as_ref(), &mut None)
-                        .map(|_| ())
-                });
-                // Surface the first failure in canonical node order;
-                // successes published through the cache stay cached.
-                if let Some(err) = results.into_iter().find_map(Result::err) {
-                    return Err(err);
-                }
-            }
-            level_nodes = next_internal_level(self, &level_nodes);
-        }
+                let mut basis: Option<Basis> = None;
+                let _ = self.cache_fill_warm(donor, None, spanner.as_ref(), &mut basis)?;
+                Ok((basis.filter(|_| warm_start), spanner))
+            },
+            |cell, (basis, spanner)| {
+                self.cache_fill_warm(cell, basis.as_ref(), spanner.as_ref(), &mut None)
+                    .map(|_| ())
+            },
+        )?;
         Ok(self.cached_channels())
     }
 
@@ -456,6 +443,76 @@ impl MsmMechanism {
             Channel::new(pts[..n].to_vec(), pts[n..].to_vec(), probs),
         ))
     }
+}
+
+/// The breadth-first node set of a precompute: level by level from
+/// `roots`, with `next_level` giving the internal nodes one level below a
+/// level in canonical order, capped at `max_nodes` nodes in total (cached
+/// nodes count toward the cap). Returns, per level, the nodes `missing`
+/// keeps, in order; levels with none are dropped.
+pub(crate) fn breadth_first_missing<N: Copy>(
+    roots: Vec<N>,
+    max_nodes: usize,
+    next_level: impl Fn(&[N]) -> Vec<N>,
+    missing: impl Fn(N) -> bool,
+) -> Vec<Vec<N>> {
+    let mut levels = Vec::new();
+    let mut budget = max_nodes;
+    let mut level = roots;
+    while !level.is_empty() && budget > 0 {
+        level.truncate(budget);
+        budget -= level.len();
+        let next = next_level(&level);
+        let todo: Vec<N> = level.into_iter().filter(|&n| missing(n)).collect();
+        if !todo.is_empty() {
+            levels.push(todo);
+        }
+        level = next;
+    }
+    levels
+}
+
+/// Solve breadth-first `levels` of missing nodes over `jobs` workers. The
+/// first node of each level is its **donor**: `donor` solves it and
+/// returns the seed (e.g. its exit basis) that `sibling` then gets for
+/// every other node of that level. The donors of all levels run
+/// concurrently, then the siblings of all levels run from one
+/// work-claiming queue ([`Pool::map`]), so no worker idles while another
+/// finishes a level. A level whose donor fails skips its siblings.
+///
+/// # Errors
+/// The first error in breadth-first order: a donor's error precedes its
+/// siblings', and a level's errors precede the next level's.
+pub(crate) fn solve_levels<N, S>(
+    jobs: usize,
+    levels: &[Vec<N>],
+    donor: impl Fn(N) -> Result<S, MechanismError> + Sync,
+    sibling: impl Fn(N, &S) -> Result<(), MechanismError> + Sync,
+) -> Result<(), MechanismError>
+where
+    N: Copy + Send + Sync,
+    S: Send + Sync,
+{
+    let pool = Pool::new(jobs);
+    let seeds = pool.map(levels.iter().map(|level| level[0]).collect(), &donor);
+    let queue: Vec<(usize, N, &S)> = levels
+        .iter()
+        .zip(&seeds)
+        .enumerate()
+        .filter_map(|(k, (level, seed))| seed.as_ref().ok().map(|s| (k, level, s)))
+        .flat_map(|(k, level, s)| level[1..].iter().map(move |&n| (k, n, s)))
+        .collect();
+    let mut outcomes = pool
+        .map(queue, |(k, n, s)| (k, sibling(n, s)))
+        .into_iter()
+        .peekable();
+    for (k, seed) in seeds.into_iter().enumerate() {
+        seed?;
+        while let Some((_, outcome)) = outcomes.next_if(|(j, _)| *j == k) {
+            outcome?;
+        }
+    }
+    Ok(())
 }
 
 /// The internal nodes one level below `nodes`, in ascending cell order

@@ -121,7 +121,8 @@ pub struct SolveStats {
     pub rows: usize,
     /// Variables in the primal formulation.
     pub cols: usize,
-    /// Simplex pivots performed, summed over all cut rounds.
+    /// Simplex pivots performed, summed over all cut rounds (abandoned
+    /// warm restarts included).
     pub iterations: usize,
     /// Cut-generation rounds (LP solves) performed; 0 when cut generation
     /// was disabled and the target rows were materialized up front.
@@ -888,6 +889,61 @@ mod tests {
         )
         .unwrap();
         assert!(mismatched.channel().satisfies_geoind(eps, 1e-6));
+    }
+
+    /// Regression: a level-2 node of the g=4, ε=0.5, ρ=0.8, height-3 tree
+    /// over the Austin-like check-in histogram (prior g=64, 265,571
+    /// check-ins, per-level ε = 1/42). Warm-started from its level's donor
+    /// basis, the dual restart succeeds but the following phase 2 drifts
+    /// into a spurious unbounded ray, which the dual path reports as an
+    /// infeasible OPT LP. A cold solve of the same LP is optimal; the warm
+    /// solve must fall back to it and count the abandoned pivots.
+    #[test]
+    fn warm_start_that_ends_badly_falls_back_to_the_cold_optimum() {
+        const CHECKINS: f64 = 265_571.0;
+        let eps = 1.0 / 42.0;
+        let block = |x0: f64, y0: f64| -> Vec<Point> {
+            (0..16)
+                .map(|i| Point::new(x0 + 0.3125 * (i % 4) as f64, y0 + 0.3125 * (i / 4) as f64))
+                .collect()
+        };
+        let masses = |counts: [u32; 16]| -> Vec<f64> {
+            counts.iter().map(|&c| c as f64 / CHECKINS).collect()
+        };
+        let donor_pts = block(0.15625, 0.15625);
+        let donor_prior = masses([9, 3, 9, 10, 5, 4, 8, 1, 6, 4, 1, 1, 4, 3, 6, 5]);
+        let node_pts = block(1.40625, 11.40625);
+        let node_prior = masses([
+            6, 15, 22, 26, 14, 13, 25, 22, 12, 10, 32, 37, 16, 29, 30, 26,
+        ]);
+        // The precompute schedule shares the donor's spanner level-wide.
+        let opts = OptOptions {
+            shared_spanner: Some(Arc::new(Spanner::greedy(&donor_pts, 1.2))),
+            ..OptOptions::default()
+        };
+        let solve = |pts: &[Point], prior: &[f64], warm: Option<&Basis>| {
+            let mut o = opts.clone();
+            o.simplex.start_basis = warm.cloned();
+            OptimalMechanism::solve_with(eps, pts, prior, QualityMetric::Euclidean, o)
+        };
+        let donor = solve(&donor_pts, &donor_prior, None).expect("donor solves cold");
+        let cold = solve(&node_pts, &node_prior, None).expect("node solves cold");
+        let warm = solve(&node_pts, &node_prior, Some(donor.basis()))
+            .expect("a warm start that ends badly must fall back to the cold solve");
+        for x in 0..16 {
+            for z in 0..16 {
+                assert_eq!(
+                    warm.channel().prob(x, z).to_bits(),
+                    cold.channel().prob(x, z).to_bits()
+                );
+            }
+        }
+        assert!(
+            warm.stats().iterations > cold.stats().iterations,
+            "abandoned warm pivots not counted ({} <= {})",
+            warm.stats().iterations,
+            cold.stats().iterations
+        );
     }
 
     #[test]

@@ -17,6 +17,7 @@
 use crate::cache::ShardedCache;
 use crate::channel::Channel;
 use crate::metrics::QualityMetric;
+use crate::offline::{breadth_first_missing, solve_levels};
 use crate::opt::{OptOptions, OptimalMechanism};
 use crate::{Mechanism, MechanismError};
 use geoind_lp::simplex::Basis;
@@ -25,7 +26,6 @@ use geoind_spatial::geom::Point;
 use geoind_spatial::kdpart::KdPartition;
 use geoind_spatial::partition::SpacePartition;
 use geoind_spatial::quadtree::AdaptiveQuadtree;
-use geoind_testkit::pool::Pool;
 use std::sync::Arc;
 
 /// Multi-step mechanism over any [`SpacePartition`].
@@ -159,11 +159,11 @@ impl<P: SpacePartition> PartitionMsm<P> {
         Ok((opt.channel().clone(), opt.basis().clone()))
     }
 
-    /// Eagerly solve every internal node's channel, level by level from
-    /// the root, fanning each level's solves over `jobs` workers with the
-    /// same deterministic donor-first warm-start schedule as
+    /// Eagerly solve every internal node's channel, breadth first from
+    /// the root, over `jobs` workers with the same deterministic
+    /// donor-first warm-start schedule as
     /// [`crate::msm::MsmMechanism::precompute_jobs`]: the lowest-index
-    /// missing node of each level is solved first and its basis seeds its
+    /// missing node of each level is its donor and its basis seeds its
     /// siblings. Returns how many channels the cache holds.
     ///
     /// # Errors
@@ -173,49 +173,41 @@ impl<P: SpacePartition> PartitionMsm<P> {
     where
         P: Sync,
     {
-        let pool = Pool::new(jobs);
         let part = &self.partition;
-        let mut budget = max_nodes;
-        let mut level: Vec<usize> = vec![part.root()];
-        level.retain(|&n| !part.is_leaf(n));
-        while !level.is_empty() && budget > 0 {
-            let take: Vec<usize> = level.iter().copied().take(budget).collect();
-            budget -= take.len();
-            let missing: Vec<usize> = take
+        let internal_children = |level: &[usize]| {
+            let mut next: Vec<usize> = level
                 .iter()
-                .copied()
-                .filter(|n| self.cache.get(n).is_none())
+                .flat_map(|&n| part.children(n).iter().copied())
+                .filter(|&c| !part.is_leaf(c))
                 .collect();
-            if let Some(&donor) = missing.first() {
-                let mut donor_basis: Option<Basis> = None;
+            next.sort_unstable();
+            next
+        };
+        let mut roots = vec![part.root()];
+        roots.retain(|&n| !part.is_leaf(n));
+        let levels = breadth_first_missing(roots, max_nodes, internal_children, |n| {
+            self.cache.get(&n).is_none()
+        });
+        solve_levels(
+            jobs,
+            &levels,
+            |donor| {
+                let mut basis: Option<Basis> = None;
                 let _ = self.cache.get_or_fill(donor, || {
-                    let (ch, basis) = self.build_channel(donor, None)?;
-                    donor_basis = Some(basis);
+                    let (ch, b) = self.build_channel(donor, None)?;
+                    basis = Some(b);
                     Ok(ch)
                 })?;
-                let results = pool.map(missing[1..].to_vec(), |node| {
-                    self.cache
-                        .get_or_fill(node, || {
-                            self.build_channel(node, donor_basis.as_ref())
-                                .map(|(c, _)| c)
-                        })
-                        .map(|_| ())
-                });
-                if let Some(err) = results.into_iter().find_map(Result::err) {
-                    return Err(err);
-                }
-            }
-            let mut next = Vec::new();
-            for &n in &take {
-                for &c in part.children(n) {
-                    if !part.is_leaf(c) {
-                        next.push(c);
-                    }
-                }
-            }
-            next.sort_unstable();
-            level = next;
-        }
+                Ok(basis)
+            },
+            |node, basis| {
+                self.cache
+                    .get_or_fill(node, || {
+                        self.build_channel(node, basis.as_ref()).map(|(c, _)| c)
+                    })
+                    .map(|_| ())
+            },
+        )?;
         Ok(self.cached_channels())
     }
 

@@ -14,9 +14,12 @@
 //!   shed drift) factors only the k×k block of non-singleton basic columns
 //!   — `O(k³ + k·m)` instead of `O(m³)`, a decisive saving on the
 //!   slack-heavy bases these LPs produce (see `Engine::refactorize`);
-//! * carries the row duals incrementally across pivots (`O(m)` per pivot
-//!   instead of a from-scratch `O(m²)` BTRAN), re-verifying any claimed
-//!   optimum against freshly computed duals before trusting it;
+//! * recomputes the row duals `B⁻ᵀc_B` from the basis positions whose cost
+//!   is nonzero only (`O(nnz(c_B)·m)` instead of a dense `O(m²)` BTRAN —
+//!   the OPT duals carry about `√m` nonzero basic costs), and on large LPs
+//!   carries them incrementally across pivots (`O(m)` per pivot),
+//!   re-verifying any claimed optimum against freshly computed duals
+//!   before trusting it;
 //! * prices with Dantzig's rule and falls back to Bland's rule after a long
 //!   degenerate stall (anti-cycling).
 //!
@@ -38,13 +41,16 @@ use geoind_testkit::failpoint;
 pub const VALUE_CLIP: f64 = 1e-7;
 
 /// Row count from which the engine carries duals incrementally across
-/// pivots instead of recomputing them by a BTRAN each iteration. Below
-/// this, the `O(m²)` recompute is cheap and its exact-to-the-basis duals
-/// make tied pricing decisions maximally reproducible across pivot paths
-/// (warm and cold solves of a degenerate LP tend to exit at the same
-/// vertex); above it, the recompute dominates the whole solve and the
-/// incremental update — exact in real arithmetic, drift-checked at every
-/// claimed optimum — is the only way large instances finish at all.
+/// pivots instead of recomputing them each iteration. The recompute
+/// (`Engine::duals`) reads only the basis positions with a nonzero cost,
+/// so it costs `O(nnz(c_B)·m)` — for the OPT duals, about `m^1.5`. Below
+/// this threshold that is cheap next to pricing, and its exact-to-the-basis
+/// duals make tied pricing decisions maximally reproducible across pivot
+/// paths (warm and cold solves of a degenerate LP tend to exit at the same
+/// vertex). Above it, the `O(m)` incremental update — exact in real
+/// arithmetic, drift-checked at every claimed optimum — is cheaper still.
+/// The threshold fixes the pivot path of every LP it separates, so moving
+/// it changes solver output (and bundle bytes), not just speed.
 const INCREMENTAL_DUALS_MIN_ROWS: usize = 1024;
 
 /// A linear program in computational standard form.
@@ -234,7 +240,8 @@ pub struct SimplexResult {
     pub duals: Vec<f64>,
     /// Objective value `c·x`.
     pub objective: f64,
-    /// Total pivots performed.
+    /// Total pivots performed, including those of a warm start that was
+    /// abandoned for the cold solve.
     pub iterations: usize,
     /// `‖Ax − b‖∞` at exit — a self-check on accumulated drift.
     pub residual: f64,
@@ -345,14 +352,31 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Row duals for the current basis and phase.
+    /// Row duals `y = B⁻ᵀc_B` for the current basis and phase.
+    ///
+    /// Only the basis positions with a nonzero cost are read: `y_j` sums
+    /// `B⁻¹[p, j]·c_p` over that list, in ascending `p` and with the same
+    /// `.sum()` reduction as the dense `B⁻ᵀc_B` product. The products it
+    /// skips are ±0, which leave every partial sum's value unchanged, so
+    /// the duals equal the dense product's up to the sign of a zero and
+    /// pricing takes the same decisions. The OPT duals this engine solves
+    /// have about `√m` nonzero costs among `m` basic positions (one per
+    /// row-stochasticity row), so the recompute costs `O(nnz(c_B)·m)`
+    /// instead of `O(m²)`.
     fn duals(&self, phase1: bool) -> Vec<f64> {
-        let cb: Vec<f64> = self
+        let costs: Vec<(usize, f64)> = self
             .basis
             .iter()
-            .map(|&b| self.basic_cost(b, phase1))
+            .enumerate()
+            .map(|(p, &b)| (p, self.basic_cost(b, phase1)))
+            .filter(|&(_, c)| c != 0.0)
             .collect();
-        self.binv.mul_vec_transpose(&cb)
+        (0..self.m)
+            .map(|j| {
+                let col = self.binv.col(j);
+                costs.iter().map(|&(p, c)| col[p] * c).sum()
+            })
+            .collect()
     }
 
     /// Dantzig / Devex (or Bland) pricing: pick an entering column.
@@ -1139,10 +1163,13 @@ fn finish_phase2(mut eng: Engine) -> SimplexResult {
 ///
 /// With [`SimplexOptions::start_basis`] set, the engine first attempts a
 /// dual-simplex warm start from the donor basis; if the basis does not fit
-/// this LP, is not dual-feasible for its costs, or the restart stalls, the
-/// solve silently falls back to the ordinary cold start — warm starting can
-/// change the pivot count, never the correctness of the result.
+/// this LP, is not dual-feasible for its costs, the restart stalls, or the
+/// warm run ends in any status but [`SimplexStatus::Optimal`], the solve
+/// falls back to the ordinary cold start — warm starting can change the
+/// pivot count, never the correctness of the result. The pivots of an
+/// abandoned warm run still count in [`SimplexResult::iterations`].
 pub fn solve_standard(lp: &StandardLp, opts: SimplexOptions) -> SimplexResult {
+    let mut abandoned = 0;
     if let Some(warm) = opts.start_basis.clone() {
         let mut eng = Engine::new(lp, opts.clone());
         let usable = match opts.warm_mode {
@@ -1157,9 +1184,25 @@ pub fn solve_standard(lp: &StandardLp, opts: SimplexOptions) -> SimplexResult {
             }
         };
         if usable {
-            return finish_phase2(eng);
+            let r = finish_phase2(eng);
+            if r.status == SimplexStatus::Optimal {
+                return r;
+            }
+            // A feasible LP can still end a warm run badly (seen: phase 2
+            // after a successful restart reporting a spurious unbounded
+            // ray). The cold path decides.
+            abandoned = r.iterations;
+        } else {
+            abandoned = eng.iterations;
         }
     }
+    let mut r = solve_cold(lp, opts);
+    r.iterations += abandoned;
+    r
+}
+
+/// The cold start: crash basis, phase 1 when artificials remain, phase 2.
+fn solve_cold(lp: &StandardLp, opts: SimplexOptions) -> SimplexResult {
     let mut eng = Engine::new(lp, opts);
     if eng.has_artificials() {
         if let Some(bad) = eng.run_phase(true) {
@@ -1516,6 +1559,96 @@ mod tests {
         assert_eq!(warm.status, SimplexStatus::Optimal);
         assert_eq!(warm.iterations, 0, "non-binding cut forced pivots");
         assert!((warm.objective + 12.0).abs() < 1e-9);
+    }
+
+    /// Two independent blocks over columns `x1 x2 s1 | x3 s2 x5`:
+    /// `x1 + x2 = b0`, `x1 + x2 + s1 = b1` (feasible iff `b0 ≤ b1`) and
+    /// `x3 + s2 = b2`, `x3 + x5 = b3`. Row 0 has no unit column, so a cold
+    /// solve needs phase 1.
+    fn two_block_lp(rhs: [f64; 4]) -> StandardLp {
+        lp_from_dense(
+            &[
+                &[1.0, 1.0, 0.0, 0.0, 0.0, 0.0],
+                &[1.0, 1.0, 1.0, 0.0, 0.0, 0.0],
+                &[0.0, 0.0, 0.0, 1.0, 1.0, 0.0],
+                &[0.0, 0.0, 0.0, 1.0, 0.0, 1.0],
+            ],
+            &[1.0, 2.0, 0.0, -1.0, 0.0, 0.0],
+            &rhs,
+        )
+    }
+
+    /// The sparse dual recompute against the dense `B⁻ᵀc_B` product, after
+    /// every pivot of both phases: equal bit for bit, except that +0 and
+    /// −0 count as equal (the skipped zero-cost products can only flip
+    /// the sign of a zero).
+    #[test]
+    fn sparse_duals_match_the_dense_product_at_every_pivot() {
+        let banded_rhs: Vec<f64> = (0..24).map(|i| 1.0 + (i % 4) as f64).collect();
+        let lps = [banded_lp(&banded_rhs), two_block_lp([1.0, 2.0, 5.0, 1.0])];
+        for lp in &lps {
+            let mut mixed = false;
+            for k in 0.. {
+                let mut eng = Engine::new(
+                    lp,
+                    SimplexOptions {
+                        max_iterations: k,
+                        ..SimplexOptions::default()
+                    },
+                );
+                let mut done = true;
+                if eng.has_artificials() {
+                    done = eng.run_phase(true).is_none();
+                }
+                if done {
+                    done = eng.run_phase(false).is_none();
+                }
+                for phase1 in [true, false] {
+                    let cb: Vec<f64> = eng
+                        .basis
+                        .iter()
+                        .map(|&b| eng.basic_cost(b, phase1))
+                        .collect();
+                    mixed |= cb.contains(&0.0) && cb.iter().any(|&c| c != 0.0);
+                    let dense = eng.binv.mul_vec_transpose(&cb);
+                    for (s, d) in eng.duals(phase1).iter().zip(&dense) {
+                        assert!(
+                            s.to_bits() == d.to_bits() || (*s == 0.0 && *d == 0.0),
+                            "pivot {k}, phase1 {phase1}: sparse {s:e} vs dense {d:e}"
+                        );
+                    }
+                }
+                if done {
+                    break;
+                }
+            }
+            assert!(mixed, "no basis mixed zero and nonzero costs");
+        }
+    }
+
+    /// A warm restart abandoned after it pivoted still reports those
+    /// pivots: the dual restart on the infeasible sibling fixes the second
+    /// block in one pivot, then finds the first block's row uncoverable
+    /// and hands over to the cold solve, which proves infeasibility.
+    #[test]
+    fn abandoned_warm_restart_pivots_are_counted() {
+        let donor = solve_standard(
+            &two_block_lp([1.0, 2.0, 5.0, 1.0]),
+            SimplexOptions::default(),
+        );
+        assert_eq!(donor.status, SimplexStatus::Optimal);
+        let sibling = two_block_lp([3.0, 2.0, 1.0, 5.0]);
+        let cold = solve_standard(&sibling, SimplexOptions::default());
+        assert_eq!(cold.status, SimplexStatus::Infeasible);
+        let warm = solve_standard(
+            &sibling,
+            SimplexOptions {
+                start_basis: Some(donor.basis.clone()),
+                ..SimplexOptions::default()
+            },
+        );
+        assert_eq!(warm.status, SimplexStatus::Infeasible);
+        assert_eq!(warm.iterations, cold.iterations + 1);
     }
 
     #[test]

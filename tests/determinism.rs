@@ -168,6 +168,37 @@ fn precompute_bundle_bytes_are_independent_of_jobs() {
     );
 }
 
+/// Jobs-invariance on a tree whose schedule actually interleaves levels:
+/// g=3 at height 3 has 91 internal nodes of 9-location LPs, with siblings
+/// on levels 1 and 2. The donors of all levels solve concurrently and the
+/// 88 siblings share one work-claiming queue, so which worker solves
+/// which node changes from run to run — the bundle bytes must not.
+#[test]
+fn multi_level_bundle_bytes_are_independent_of_jobs() {
+    let dataset = city();
+    let export = |jobs: usize| {
+        let prior = GridPrior::from_dataset(&dataset, 27);
+        let msm = MsmMechanism::builder(dataset.domain(), prior)
+            .epsilon(0.8)
+            .granularity(3)
+            .strategy(AllocationStrategy::FixedHeight(3))
+            .build()
+            .expect("valid configuration");
+        let nodes = msm.precompute_jobs(100_000, jobs).expect("precompute");
+        assert_eq!(nodes, 1 + 9 + 81, "jobs={jobs}");
+        let mut blob = Vec::new();
+        msm.export_cache(&mut blob).expect("export");
+        blob
+    };
+    let sequential = export(1);
+    for jobs in [2, 3] {
+        assert!(
+            export(jobs) == sequential,
+            "exported cache bytes differ between jobs=1 and jobs={jobs}"
+        );
+    }
+}
+
 /// The jobs-invariance contract holds for every solve strategy, not just
 /// the default: a cut-generation precompute over a spanner-sparsified
 /// constraint set walks the same donor-first schedule, shares one
